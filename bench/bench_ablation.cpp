@@ -14,7 +14,7 @@
 #include "BenchJson.h"
 #include "evolve/EvolvableVM.h"
 #include "harness/Scenario.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/Table.h"
 
 #include <cstdio>

@@ -28,7 +28,7 @@
 #include "harness/Scenario.h"
 #include "support/BuildInfo.h"
 #include "support/DecisionLedger.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/Table.h"
 
 #include <cstdio>

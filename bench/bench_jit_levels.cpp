@@ -9,7 +9,7 @@
 
 #include "BenchJson.h"
 #include "harness/Scenario.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/Table.h"
 #include "vm/AOS.h"
 #include "vm/Engine.h"

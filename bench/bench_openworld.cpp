@@ -29,7 +29,7 @@
 #include "harness/Scenario.h"
 #include "support/BuildInfo.h"
 #include "support/DecisionLedger.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/Table.h"
 #include "workloads/Generator.h"
 
@@ -274,9 +274,8 @@ int main(int argc, char **argv) {
   // grouped by record app name in first-seen (= suite) order.  The same
   // double arithmetic over the same values must reproduce the suite's
   // numbers bit-for-bit, pinning the ledger as a faithful audit stream.
-  // (Skipped when EVM_DECISIONS is compiled out: the ledger stays empty.)
   std::vector<DecisionRecord> DriftRecords = DriftLedger.exportOrder();
-  if (DriftLedger.enabled() && !DriftRecords.empty()) {
+  if (!DriftRecords.empty()) {
     size_t LedgerDriftRun = static_cast<size_t>(
         static_cast<double>(driftSpec(0).NumRuns) * driftSpec(0).DriftAt +
         0.5);

@@ -3,7 +3,7 @@
 #include "evolve/SpecFeedback.h"
 
 #include "support/Format.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 
 using namespace evm;
 using namespace evm::evolve;

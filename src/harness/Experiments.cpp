@@ -3,7 +3,7 @@
 #include "harness/Experiments.h"
 
 #include "support/Format.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/Table.h"
 #include "vm/AOS.h"
 #include "vm/Engine.h"

@@ -4,7 +4,7 @@
 
 #include "store/KnowledgeStore.h"
 #include "support/Format.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "workloads/Workload.h"
 
 #include <algorithm>

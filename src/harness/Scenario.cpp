@@ -6,7 +6,7 @@
 #include "evolve/Strategy.h"
 #include "store/KnowledgeStore.h"
 #include "support/Rng.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "vm/AOS.h"
 
 #include <cassert>

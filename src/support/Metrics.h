@@ -7,7 +7,7 @@
 /// \file
 /// A small metrics registry: named counters (monotonic uint64 totals),
 /// gauges (instantaneous doubles), and histograms (sample sets summarized
-/// through support/Statistics).  Producers mutate a MetricsRegistry during a
+/// through support/Stats).  Producers mutate a MetricsRegistry during a
 /// run; consumers receive an immutable MetricsSnapshot — a name-sorted value
 /// list with a stable JSON rendering, so two identical runs produce
 /// byte-identical snapshots.  RunResult carries one snapshot per execution
@@ -19,7 +19,7 @@
 #ifndef EVM_SUPPORT_METRICS_H
 #define EVM_SUPPORT_METRICS_H
 
-#include "support/Statistics.h"
+#include "support/Stats.h"
 
 #include <cstdint>
 #include <map>

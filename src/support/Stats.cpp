@@ -3,14 +3,90 @@
 #include "support/Stats.h"
 
 #include "support/Format.h"
-#include "support/Statistics.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
 using namespace evm;
+
+double evm::mean(const std::vector<double> &Samples) {
+  if (Samples.empty())
+    return 0;
+  double Sum = 0;
+  for (double S : Samples)
+    Sum += S;
+  return Sum / static_cast<double>(Samples.size());
+}
+
+double evm::stddev(const std::vector<double> &Samples) {
+  if (Samples.size() < 2)
+    return 0;
+  double M = mean(Samples);
+  double SumSq = 0;
+  for (double S : Samples)
+    SumSq += (S - M) * (S - M);
+  return std::sqrt(SumSq / static_cast<double>(Samples.size() - 1));
+}
+
+double evm::quantile(std::vector<double> Samples, double Q) {
+  assert(!Samples.empty() && "quantile of empty sample");
+  assert(Q >= 0.0 && Q <= 1.0 && "quantile outside [0,1]");
+  std::sort(Samples.begin(), Samples.end());
+  if (Samples.size() == 1)
+    return Samples.front();
+  double Position = Q * static_cast<double>(Samples.size() - 1);
+  size_t Lower = static_cast<size_t>(Position);
+  size_t Upper = std::min(Lower + 1, Samples.size() - 1);
+  double Fraction = Position - static_cast<double>(Lower);
+  return Samples[Lower] + Fraction * (Samples[Upper] - Samples[Lower]);
+}
+
+double evm::median(const std::vector<double> &Samples) {
+  return quantile(Samples, 0.5);
+}
+
+double evm::geomean(const std::vector<double> &Samples) {
+  if (Samples.empty())
+    return 0;
+  double LogSum = 0;
+  for (double S : Samples) {
+    assert(S > 0 && "geomean requires positive samples");
+    LogSum += std::log(S);
+  }
+  return std::exp(LogSum / static_cast<double>(Samples.size()));
+}
+
+BoxStats evm::computeBoxStats(const std::vector<double> &Samples) {
+  assert(!Samples.empty() && "boxplot of empty sample");
+  BoxStats Stats;
+  Stats.Min = quantile(Samples, 0.0);
+  Stats.Q25 = quantile(Samples, 0.25);
+  Stats.Median = quantile(Samples, 0.5);
+  Stats.Q75 = quantile(Samples, 0.75);
+  Stats.Max = quantile(Samples, 1.0);
+  Stats.Count = Samples.size();
+  return Stats;
+}
+
+double evm::pearsonCorrelation(const std::vector<double> &Xs,
+                               const std::vector<double> &Ys) {
+  assert(Xs.size() == Ys.size() && "mismatched sample sizes");
+  if (Xs.size() < 2)
+    return 0;
+  double MX = mean(Xs), MY = mean(Ys);
+  double Cov = 0, VarX = 0, VarY = 0;
+  for (size_t I = 0, E = Xs.size(); I != E; ++I) {
+    Cov += (Xs[I] - MX) * (Ys[I] - MY);
+    VarX += (Xs[I] - MX) * (Xs[I] - MX);
+    VarY += (Ys[I] - MY) * (Ys[I] - MY);
+  }
+  if (VarX == 0 || VarY == 0)
+    return 0;
+  return Cov / std::sqrt(VarX * VarY);
+}
 
 const char *evm::seriesClassName(SeriesClass C) {
   switch (C) {

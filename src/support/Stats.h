@@ -1,10 +1,14 @@
-//===- support/Stats.h - Steady-state run-series analytics ----------------===//
+//===- support/Stats.h - Descriptive statistics and run-series analytics --===//
 //
 // Part of the EVM project (CGO 2009 evolvable-VM reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
+/// Descriptive statistics (mean/median/quantile/box-plot summaries) used by
+/// the experiment harness to regenerate the paper's Figure 10 boxplots and
+/// Table I aggregates, and by the metrics registry's histograms.
+///
 /// Steady-state analytics for per-iteration run series, after Barrett et
 /// al.'s "Virtual Machine Warmup Blows Hot and Cold": per-run means hide
 /// non-warmup pathologies (slowdowns, cycles, no steady state at all), so
@@ -40,6 +44,38 @@
 #include <vector>
 
 namespace evm {
+
+/// Arithmetic mean; 0 for an empty sample.
+double mean(const std::vector<double> &Samples);
+
+/// Sample standard deviation (N-1 denominator); 0 for fewer than 2 samples.
+double stddev(const std::vector<double> &Samples);
+
+/// Linear-interpolation quantile for \p Q in [0, 1]; asserts on empty input.
+double quantile(std::vector<double> Samples, double Q);
+
+/// Median (the 0.5 quantile).
+double median(const std::vector<double> &Samples);
+
+/// Geometric mean; asserts all samples are positive.
+double geomean(const std::vector<double> &Samples);
+
+/// Five-number summary backing one box of a Figure-10-style boxplot.
+struct BoxStats {
+  double Min = 0;
+  double Q25 = 0;
+  double Median = 0;
+  double Q75 = 0;
+  double Max = 0;
+  size_t Count = 0;
+};
+
+/// Computes the five-number summary of \p Samples; asserts on empty input.
+BoxStats computeBoxStats(const std::vector<double> &Samples);
+
+/// Pearson correlation coefficient; 0 when either side has no variance.
+double pearsonCorrelation(const std::vector<double> &Xs,
+                          const std::vector<double> &Ys);
 
 /// What shape a per-iteration series has (Barrett et al.'s taxonomy, with
 /// "good inconsistent" collapsed into the per-shape classes).

@@ -11,10 +11,9 @@
 /// **virtual-clock cycles**, so two identical runs produce bit-identical
 /// traces no matter how the OS schedules the background compile workers.
 ///
-/// Cost model: with the `EVM_TRACING` macro compiled out (cmake
-/// -DEVM_TRACING=OFF) every record call is dead code; with it compiled in
-/// but the runtime flag off, a record call costs one predictable branch
-/// (`enabled()` is checked before events are even constructed).  Recording
+/// Cost model: with the runtime flag off, a record call costs one
+/// predictable branch (`enabled()` is checked before events are even
+/// constructed).  Recording
 /// never charges virtual cycles, so enabling tracing cannot perturb the
 /// modeled machine.
 ///
@@ -36,13 +35,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-/// Compile-time gate.  The build defines EVM_TRACING=0 to compile the
-/// recorder out entirely (enabled() folds to false and every trace block is
-/// dead code); default is compiled-in.
-#ifndef EVM_TRACING
-#define EVM_TRACING 1
-#endif
 
 namespace evm {
 
@@ -136,15 +128,8 @@ public:
   explicit TraceRecorder(size_t MaxEvents = size_t(1) << 22)
       : MaxEvents(MaxEvents) {}
 
-  /// The runtime flag.  With EVM_TRACING compiled out this is always
-  /// false and trace blocks behind it fold away.
-  bool enabled() const {
-#if EVM_TRACING
-    return Enabled;
-#else
-    return false;
-#endif
-  }
+  /// The runtime flag.
+  bool enabled() const { return Enabled; }
 
   void setEnabled(bool On) { Enabled = On; }
 
@@ -152,13 +137,9 @@ public:
   /// event construction with enabled() themselves; this re-check keeps the
   /// slow path safe regardless.
   void record(const TraceEvent &E) {
-#if EVM_TRACING
     if (!Enabled)
       return;
     append(E);
-#else
-    (void)E;
-#endif
   }
 
   void clear();

@@ -28,10 +28,6 @@
 /// with a checksum loop over the array so heap effects feed the returned
 /// value.
 ///
-/// This header lives in src/workloads (not tests/) because the open-world
-/// generator builds on the same statement machinery; tests reach it through
-/// the thin tests/RandomModule.h shim.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef EVM_WORKLOADS_RANDOMPROGRAM_H

@@ -2,7 +2,7 @@
 
 #include "harness/Scenario.h"
 
-#include "support/Statistics.h"
+#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 

@@ -12,7 +12,7 @@
 #include "evolve/EvolvableVM.h"
 #include "harness/Scenario.h"
 #include "ml/Confidence.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "xicl/RuntimeChannel.h"
 
 #include "TestHelpers.h"

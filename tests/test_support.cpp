@@ -5,7 +5,7 @@
 #include "support/Format.h"
 #include "support/Metrics.h"
 #include "support/Rng.h"
-#include "support/Statistics.h"
+#include "support/Stats.h"
 #include "support/StringUtils.h"
 #include "support/Table.h"
 

@@ -79,10 +79,10 @@ echo "fleet threads-matrix smoke: OK (${THREADS[*]})"
 # this exercises the whole serving stack (reader threads, batcher, lanes,
 # gateway folds) against the race detector.
 #
-# The cell runs twice — EVM_DISPATCH=switch and EVM_DISPATCH=fused — with
-# the same inputs, and the two decision ledgers must be byte-identical:
-# interpreter threading/superinstruction fusion must be invisible to every
-# served prediction, all the way through the daemon's batcher and lanes.
+# The cell boots the daemon twice with the same inputs, and the two
+# decision ledgers and client outputs must be byte-identical: a served
+# prediction depends only on its inputs, never on thread scheduling in the
+# daemon's batcher and lanes.
 SERVED="$BUILD_DIR/tools/evm-served"
 STORE_TOOL="$BUILD_DIR/tools/evm-store"
 if [ ! -x "$SERVED" ] || [ ! -x "$STORE_TOOL" ]; then
@@ -90,22 +90,22 @@ if [ ! -x "$SERVED" ] || [ ! -x "$STORE_TOOL" ]; then
   exit 0
 fi
 
-daemon_cell() {  # $1 = dispatch mode (tag for outputs + EVM_DISPATCH)
-  local MODE="$1"
-  local SOCK="$WORK/served-$MODE.sock"
-  local SERVE_DIR="$WORK/served-store-$MODE"
-  EVM_DISPATCH="$MODE" "$SERVED" --socket "$SOCK" --store-dir "$SERVE_DIR" \
+daemon_cell() {  # $1 = boot tag (names the outputs)
+  local BOOT="$1"
+  local SOCK="$WORK/served-$BOOT.sock"
+  local SERVE_DIR="$WORK/served-store-$BOOT"
+  "$SERVED" --socket "$SOCK" --store-dir "$SERVE_DIR" \
     --batch 2 --deadline-us 500 \
-    --decisions-out "$WORK/served-$MODE.decisions.jsonl" \
-    > "$WORK/served-$MODE.log" 2>&1 &
+    --decisions-out "$WORK/served-$BOOT.decisions.jsonl" \
+    > "$WORK/served-$BOOT.log" 2>&1 &
   local SERVED_PID=$!
 
   # Readiness signal: the socket file exists once start() returns.
   for _ in $(seq 1 100); do
     [ -S "$SOCK" ] && break
     kill -0 "$SERVED_PID" 2>/dev/null || {
-      echo "FAIL: evm-served ($MODE) died before binding $SOCK" >&2
-      cat "$WORK/served-$MODE.log" >&2
+      echo "FAIL: evm-served ($BOOT) died before binding $SOCK" >&2
+      cat "$WORK/served-$BOOT.log" >&2
       exit 1
     }
     sleep 0.1
@@ -113,11 +113,11 @@ daemon_cell() {  # $1 = dispatch mode (tag for outputs + EVM_DISPATCH)
   [ -S "$SOCK" ] || { echo "FAIL: $SOCK never appeared" >&2; exit 1; }
 
   if ! "$CLI" --connect "$SOCK" --app route --input-order 0,1,2,3,0,1 \
-      > "$WORK/served-$MODE.client.txt" \
-      2> "$WORK/served-$MODE.client.err"; then
-    echo "FAIL: evm_cli --connect against evm-served ($MODE) exited" \
+      > "$WORK/served-$BOOT.client.txt" \
+      2> "$WORK/served-$BOOT.client.err"; then
+    echo "FAIL: evm_cli --connect against evm-served ($BOOT) exited" \
       "nonzero" >&2
-    cat "$WORK/served-$MODE.client.err" >&2
+    cat "$WORK/served-$BOOT.client.err" >&2
     kill -9 "$SERVED_PID" 2>/dev/null || true
     exit 1
   fi
@@ -128,38 +128,37 @@ daemon_cell() {  # $1 = dispatch mode (tag for outputs + EVM_DISPATCH)
   local SERVED_RC=0
   wait "$SERVED_PID" || SERVED_RC=$?
   if [ "$SERVED_RC" -ne 0 ]; then
-    echo "FAIL: evm-served ($MODE) drain exited $SERVED_RC" >&2
-    cat "$WORK/served-$MODE.log" >&2
+    echo "FAIL: evm-served ($BOOT) drain exited $SERVED_RC" >&2
+    cat "$WORK/served-$BOOT.log" >&2
     exit 1
   fi
 
   # The drain-time fold's global store must be clean and canonical.
   # (Gateway filenames sanitize lane ids: app "route" -> global-route.store.)
   if ! "$STORE_TOOL" validate "$SERVE_DIR/global-route.store" \
-      > "$WORK/served-$MODE.validate.txt"; then
-    echo "FAIL: evm-store validate rejects the $MODE drain checkpoint" >&2
-    cat "$WORK/served-$MODE.validate.txt" >&2
+      > "$WORK/served-$BOOT.validate.txt"; then
+    echo "FAIL: evm-store validate rejects the $BOOT drain checkpoint" >&2
+    cat "$WORK/served-$BOOT.validate.txt" >&2
     exit 1
   fi
-  echo "daemon smoke ($MODE): OK" \
-    "($(tail -n1 "$WORK/served-$MODE.validate.txt"))"
+  echo "daemon smoke ($BOOT): OK" \
+    "($(tail -n1 "$WORK/served-$BOOT.validate.txt"))"
 }
 
-daemon_cell switch
-daemon_cell fused
+daemon_cell boot1
+daemon_cell boot2
 
-if ! cmp -s "$WORK/served-switch.decisions.jsonl" \
-    "$WORK/served-fused.decisions.jsonl"; then
-  echo "FAIL: served decision ledgers differ between EVM_DISPATCH=switch" \
-    "and fused" >&2
-  cmp "$WORK/served-switch.decisions.jsonl" \
-    "$WORK/served-fused.decisions.jsonl" >&2 || true
+if ! cmp -s "$WORK/served-boot1.decisions.jsonl" \
+    "$WORK/served-boot2.decisions.jsonl"; then
+  echo "FAIL: served decision ledgers differ between two daemon boots" >&2
+  cmp "$WORK/served-boot1.decisions.jsonl" \
+    "$WORK/served-boot2.decisions.jsonl" >&2 || true
   exit 1
 fi
-if ! cmp -s "$WORK/served-switch.client.txt" \
-    "$WORK/served-fused.client.txt"; then
-  echo "FAIL: served client output differs between EVM_DISPATCH=switch" \
-    "and fused" >&2
+if ! cmp -s "$WORK/served-boot1.client.txt" \
+    "$WORK/served-boot2.client.txt"; then
+  echo "FAIL: served client output differs between two daemon boots" >&2
   exit 1
 fi
-echo "daemon dispatch cell: ledgers byte-identical (switch vs fused)"
+echo "daemon determinism cell: ledgers and client output byte-identical" \
+  "across two boots"
